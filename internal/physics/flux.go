@@ -1,6 +1,9 @@
 package physics
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // FaceFlux evaluates the TPFA flux F_KL (Eq. 3a) across one face in float64.
 // Inputs are the transmissibility Υ (already geometric+permeability, see
@@ -9,18 +12,31 @@ import "math"
 // sign convention (F is accumulated into K's residual as-is; antisymmetry
 // F_KL = −F_LK holds by construction).
 func (f Fluid) FaceFlux(trans, pK, pL, zK, zL float64) float64 {
-	rhoK := f.Density(pK)
-	rhoL := f.Density(pL)
-	rhoAvg := 0.5 * (rhoK + rhoL)
-	dPhi := pL - pK + rhoAvg*f.Gravity*(zL-zK)
-	var lambda float64
-	if dPhi > 0 {
-		lambda = rhoK / f.Viscosity
-	} else {
-		lambda = rhoL / f.Viscosity
-	}
-	return trans * lambda * dPhi
+	return f.FaceFluxRho(trans, pK, pL, f.Density(pK), f.Density(pL), zK, zL)
 }
+
+// FaceFluxRho is FaceFlux with both cell densities supplied by the caller —
+// the one arithmetic definition of Eq. 3a/3b/4, for kernels that evaluate
+// ρ once per cell instead of twice per half-face. Given rhoK = Density(pK)
+// and rhoL = Density(pL) it returns FaceFlux's value bit for bit.
+//
+// The upwind select of Eq. 4 (ρ_K when ΔΦ > 0, else ρ_L) is a bit mask,
+// not a branch: on a noisy pressure field the sign of ΔΦ is a coin flip
+// per half-face, which a branch predictor cannot learn.
+func (f Fluid) FaceFluxRho(trans, pK, pL, rhoK, rhoL, zK, zL float64) float64 {
+	dPhi := pL - pK + 0.5*(rhoK+rhoL)*f.Gravity*(zL-zK)
+	// ΔΦ > 0 exactly when its bit pattern b is in [1, +Inf]: then b−1 is
+	// below +Inf's pattern, while +0 (b−1 wraps), −0, negatives and NaNs
+	// are not. The borrow gt of that unsigned compare is 1 iff ΔΦ > 0, so
+	// −gt is all ones and gt−1 all zeros exactly when ρ_K is upwind.
+	_, gt := bits.Sub64(math.Float64bits(dPhi)-1, posInfBits, 0)
+	rhoUp := math.Float64frombits(math.Float64bits(rhoK)&-gt | math.Float64bits(rhoL)&(gt-1))
+	return trans * (rhoUp / f.Viscosity) * dPhi
+}
+
+// posInfBits is the bit pattern of +Inf, the largest non-NaN float64 bit
+// pattern with a clear sign bit.
+const posInfBits = 0x7FF0000000000000
 
 // PotentialDifference evaluates ΔΦ_KL (Eq. 3b) in float64.
 func (f Fluid) PotentialDifference(pK, pL, zK, zL float64) float64 {

@@ -151,6 +151,12 @@ type partState struct {
 	nbrTrans      []float64
 	sends         []sendPlan
 	recvs         []recvSlot
+	// rho caches Density(pres) for every local cell, owned and halo, so
+	// each application evaluates ρ once per cell instead of twice per
+	// half-face. Owned entries are refreshed in the fused send step, halo
+	// entries by the receiver after the exchange barrier; ρ itself never
+	// travels between parts.
+	rho []float64
 	// slotBySrc maps a source part id straight to its recv slot — the
 	// precompiled table senders use to resolve their direct-write bases.
 	slotBySrc []int32
@@ -298,6 +304,7 @@ func newPartState(u *Mesh, p *Partition, me int) (*partState, error) {
 	// Compact fields — O(owned+halo) words, never O(NumCells).
 	n := len(ps.globalOf)
 	ps.pres = make([]float32, n)
+	ps.rho = make([]float64, n)
 	ps.elev = make([]float64, n)
 	for i, g := range ps.globalOf {
 		ps.elev[i] = u.Elev[g]
@@ -453,28 +460,42 @@ func (e *PartEngine) step(app int) error {
 }
 
 // perturbOwned applies the shared perturbation schedule to the part's owned
-// cells; halo copies are refreshed by the following exchange, so the global
-// field evolves exactly as the serial sweep's does.
+// cells and refreshes their densities in the same pass; halo copies are
+// refreshed by the following exchange, so the global field evolves exactly
+// as the serial sweep's does.
 func (e *PartEngine) perturbOwned(ps *partState) {
-	app, amp := e.app, e.opts.PerturbAmplitude
+	app, amp, fl := e.app, e.opts.PerturbAmplitude, e.fl
 	for i := 0; i < ps.nOwned; i++ {
 		ps.pres[i] += mesh.PerturbDelta32(app, int(ps.globalOf[i]), amp)
+		ps.rho[i] = fl.Density(float64(ps.pres[i]))
+	}
+}
+
+// densities evaluates ρ for the local cells [lo, hi) from their resident
+// pressures — the same Density(float64(p)) the serial sweep evaluates per
+// half-face, so the cached values are bit-identical to it.
+func (e *PartEngine) densities(ps *partState, lo, hi int) {
+	fl := e.fl
+	for i := lo; i < hi; i++ {
+		ps.rho[i] = fl.Density(float64(ps.pres[i]))
 	}
 }
 
 // residualRows evaluates the listed owned rows in the serial sweep's
-// per-cell accumulation order. Rows write disjoint residual entries, so
-// splitting them between the send and frontier phases leaves every value
-// bit-identical to the one-pass sweep.
+// per-cell accumulation order, reading the cached densities of every cell
+// the rows touch. Rows write disjoint residual entries, so splitting them
+// between the send and frontier phases leaves every value bit-identical to
+// the one-pass sweep.
 func (e *PartEngine) residualRows(ps *partState, rows []int32) {
 	fl := e.fl
 	for _, i := range rows {
 		pc := float64(ps.pres[i])
+		rc := ps.rho[i]
 		zc := ps.elev[i]
 		sum := 0.0
 		for j := ps.rowStart[i]; j < ps.rowStart[i+1]; j++ {
 			nb := ps.nbrLocal[j]
-			sum += fl.FaceFlux(ps.nbrTrans[j], pc, float64(ps.pres[nb]), zc, ps.elev[nb])
+			sum += fl.FaceFluxRho(ps.nbrTrans[j], pc, float64(ps.pres[nb]), rc, ps.rho[nb], zc, ps.elev[nb])
 		}
 		ps.res[i] = sum
 	}
@@ -498,12 +519,13 @@ func (e *PartEngine) pushHalo(ps *partState) {
 	}
 }
 
-// phaseSendInterior pushes the part's halo values into the neighbors'
-// resident fields, then computes every interior row (no halo neighbors) —
-// the halo movement overlapped with the bulk of the sweep. The steady-state
-// path allocates nothing.
+// phaseSendInterior evaluates the owned densities, pushes the part's halo
+// values into the neighbors' resident fields, then computes every interior
+// row (no halo neighbors) — the halo movement overlapped with the bulk of
+// the sweep. The steady-state path allocates nothing.
 func (e *PartEngine) phaseSendInterior(shard int) error {
 	ps := e.parts[shard]
+	e.densities(ps, 0, ps.nOwned)
 	e.pushHalo(ps)
 	e.residualRows(ps, ps.interior)
 	return nil
@@ -520,10 +542,12 @@ func (e *PartEngine) phasePerturbSendInterior(shard int) error {
 	return nil
 }
 
-// phaseRecvFrontier computes the frontier rows once the step barrier has
+// phaseRecvFrontier evaluates the halo densities from the received
+// pressures, then computes the frontier rows, once the step barrier has
 // ordered every neighbor's halo write into this part's resident field.
 func (e *PartEngine) phaseRecvFrontier(shard int) error {
 	ps := e.parts[shard]
+	e.densities(ps, ps.nOwned, ps.nOwned+ps.nHalo)
 	e.residualRows(ps, ps.frontier)
 	return nil
 }

@@ -44,36 +44,44 @@ func enginePressure(u *Mesh) []float32 {
 
 func TestPartEngineBitIdenticalToSerial(t *testing.T) {
 	// The persistent engine must equal the serial cell-based sweep
-	// bit-for-bit for every builder, across part counts 1–8, through a
-	// multi-application perturbation schedule. CI additionally runs this
-	// under -race, which verifies the phase barriers.
-	fl := physics.DefaultFluid()
-	const apps = 4
-	for name, u := range engineFixtures(t) {
-		p := enginePressure(u)
-		serial, err := RunCellBasedApps(u, fl, p, apps, PerturbAmplitude)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, levels := range []int{0, 1, 2, 3} {
-			part, err := RCB(u, levels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4} {
-				e, err := NewPartEngine(u, part, fl, EngineOptions{Apps: apps, Workers: workers})
+	// bit-for-bit for every builder, under both density models, across part
+	// counts 1–8, for one application (the first plan alone) and through a
+	// multi-application perturbation schedule (the perturbed plan). The
+	// serial sweep evaluates ρ per half-face while the engine caches it per
+	// cell — owned cells in the send step, halo cells after the exchange
+	// barrier — so any stale or racy cached density shows up here. CI
+	// additionally runs this under -race, which verifies the phase
+	// barriers.
+	for _, model := range []physics.DensityModel{physics.DensityExponential, physics.DensityLinear} {
+		fl := physics.DefaultFluid().WithModel(model)
+		for name, u := range engineFixtures(t) {
+			p := enginePressure(u)
+			for _, apps := range []int{1, 4} {
+				serial, err := RunCellBasedApps(u, fl, p, apps, PerturbAmplitude)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := e.Run(p)
-				e.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range serial {
-					if res.Residual[i] != serial[i] {
-						t.Fatalf("%s parts=%d workers=%d: residual[%d] differs: %g vs %g",
-							name, part.NumParts, workers, i, res.Residual[i], serial[i])
+				for _, levels := range []int{0, 1, 2, 3} {
+					part, err := RCB(u, levels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 2, 4} {
+						e, err := NewPartEngine(u, part, fl, EngineOptions{Apps: apps, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := e.Run(p)
+						e.Close()
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range serial {
+							if math.Float64bits(res.Residual[i]) != math.Float64bits(serial[i]) {
+								t.Fatalf("%v %s apps=%d parts=%d workers=%d: residual[%d] differs: %g vs %g",
+									model, name, apps, part.NumParts, workers, i, res.Residual[i], serial[i])
+							}
+						}
 					}
 				}
 			}

@@ -215,7 +215,7 @@ type serialReference struct {
 
 // newSerialReference builds the serial reference operator for a system.
 func newSerialReference(sys *USystem) *serialReference {
-	blocks := canonicalBlocks(sys.U.NumCells)
+	blocks := canonicalBlocks(sys.U.NumCells, reductionDepth)
 	return &serialReference{
 		UHostOperator: &UHostOperator{Sys: sys},
 		order:         CanonicalOrder(sys.U),
@@ -537,7 +537,7 @@ func (o *PartOperator) compileReduction() {
 	for me, owned := range p.Owned {
 		starts[me+1] = starts[me] + len(owned)
 	}
-	blocks := canonicalBlocks(o.e.u.NumCells)
+	blocks := canonicalBlocks(o.e.u.NumCells, reductionDepth)
 	aligned := p.canonical
 	if aligned {
 		at := make(map[int32]bool, len(blocks))

@@ -2,6 +2,7 @@ package umesh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/physics"
@@ -31,13 +32,19 @@ type Partition struct {
 	recvPlan []map[int][]int
 }
 
-// bisect is the one median split both RCB and CanonicalOrder recurse on:
+// keyID is one record of bisect's sort: a cell's centroid coordinate along
+// the split axis and the cell id that breaks ties.
+type keyID struct {
+	key float64
+	id  int
+}
+
+// bisect is the median split the canonical-order recursion is built from:
 // sort the subset along the widest axis of its bounding box (cell id breaks
-// ties, so the split is deterministic) and cut at the middle. Sharing the
-// helper is what guarantees the two recursions agree on every common prefix
-// — an RCB part at any level is exactly one subtree of the canonical-order
-// recursion, hence one contiguous canonical-order range.
-func bisect(u *Mesh, ids []int) int {
+// ties, so the split is deterministic) and cut at the middle. The sort runs
+// over precomputed (key, id) records in buf, one buffer of at least
+// len(ids) records reused across the whole recursion.
+func bisect(u *Mesh, ids []int, buf []keyID) int {
 	var lo, hi [3]float64
 	for k := 0; k < 3; k++ {
 		lo[k], hi[k] = u.Centroid[ids[0]][k], u.Centroid[ids[0]][k]
@@ -57,21 +64,30 @@ func bisect(u *Mesh, ids []int) int {
 			axis = k
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := u.Centroid[ids[i]][axis], u.Centroid[ids[j]][axis]
-		if a != b {
-			return a < b
+	recs := buf[:len(ids)]
+	for i, c := range ids {
+		recs[i] = keyID{key: u.Centroid[c][axis], id: c}
+	}
+	slices.SortFunc(recs, func(a, b keyID) int {
+		switch {
+		case a.key < b.key:
+			return -1
+		case a.key > b.key:
+			return 1
 		}
-		return ids[i] < ids[j] // deterministic tie-break
+		return a.id - b.id // deterministic tie-break
 	})
+	for i := range recs {
+		ids[i] = recs[i].id
+	}
 	return len(ids) / 2
 }
 
 // CanonicalOrder returns the mesh's cells in canonical RCB order: the
 // recursive coordinate bisection carried all the way down to single cells.
-// Because RCB is hierarchical — every partition level refines the previous
-// one with the same median splits — each part of RCB(u, levels) owns one
-// contiguous run of this order, for every level, with parts ascending.
+// RCB(u, levels) is the first levels cuts of this same recursion, so each
+// of its parts owns one contiguous run of this order, for every level,
+// with parts ascending.
 //
 // That makes the order the repo's deterministic reduction schedule: a dot
 // product accumulated per part in canonical (compact-index) order and folded
@@ -93,12 +109,13 @@ func CanonicalOrder(u *Mesh) []int32 {
 	for i := range ids {
 		ids[i] = i
 	}
+	buf := make([]keyID, len(ids))
 	var rec func(ids []int)
 	rec = func(ids []int) {
 		if len(ids) <= 1 {
 			return
 		}
-		mid := bisect(u, ids)
+		mid := bisect(u, ids, buf)
 		rec(ids[:mid])
 		rec(ids[mid:])
 	}
@@ -121,10 +138,12 @@ func CanonicalOrder(u *Mesh) []int32 {
 const reductionDepth = 8
 
 // canonicalBlocks returns the start offsets (ascending, first always 0) of
-// the canonical reduction blocks for an n-cell mesh: the canonical-order
-// positions cut by the first reductionDepth levels of the len/2 bisection
-// recursion. The block structure depends only on n, never on a partition.
-func canonicalBlocks(n int) []int32 {
+// the canonical blocks at the given depth for an n-cell mesh: the
+// canonical-order positions cut by the first depth levels of the len/2
+// bisection recursion. The block structure depends only on n, never on a
+// partition. At depth reductionDepth the blocks are the reduction tree's
+// leaves; at depth levels, with 2^levels ≤ n, they are RCB's parts.
+func canonicalBlocks(n, depth int) []int32 {
 	var blocks []int32
 	var rec func(off, ln, d int)
 	rec = func(off, ln, d int) {
@@ -136,15 +155,17 @@ func canonicalBlocks(n int) []int32 {
 		rec(off, mid, d-1)
 		rec(off+mid, ln-mid, d-1)
 	}
-	rec(0, n, reductionDepth)
+	rec(0, n, depth)
 	return blocks
 }
 
 // RCB partitions the mesh into 2^levels parts with recursive coordinate
-// bisection: split the widest centroid axis at its median, recurse. Each
-// part's Owned list is in canonical order (see CanonicalOrder), so the
+// bisection: split the widest centroid axis at its median, recurse. The
+// recursion is CanonicalOrder's, stopped after levels cuts, so the parts
+// are read off the canonical order at its depth-levels blocks: part k owns
+// the k-th block, and its Owned list is that canonical run — the
 // concatenation of Owned lists over ascending parts is the canonical order
-// itself — the property every deterministic partitioned reduction relies on.
+// itself, the property every deterministic partitioned reduction relies on.
 func RCB(u *Mesh, levels int) (*Partition, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -156,24 +177,16 @@ func RCB(u *Mesh, levels int) (*Partition, error) {
 	if numParts > u.NumCells {
 		return nil, fmt.Errorf("umesh: %d parts exceed %d cells", numParts, u.NumCells)
 	}
+	order := CanonicalOrder(u)
+	// With 2^levels ≤ NumCells every subtree above depth levels holds at
+	// least two cells, so the recursion yields exactly numParts blocks.
+	blocks := append(canonicalBlocks(u.NumCells, levels), int32(u.NumCells))
 	part := make([]int, u.NumCells)
-	cells := make([]int, u.NumCells)
-	for i := range cells {
-		cells[i] = i
-	}
-	var split func(ids []int, base, lvl int)
-	split = func(ids []int, base, lvl int) {
-		if lvl == 0 {
-			for _, c := range ids {
-				part[c] = base
-			}
-			return
+	for k := 0; k < numParts; k++ {
+		for _, c := range order[blocks[k]:blocks[k+1]] {
+			part[c] = k
 		}
-		mid := bisect(u, ids)
-		split(ids[:mid], base, lvl-1)
-		split(ids[mid:], base+(1<<(lvl-1)), lvl-1)
 	}
-	split(cells, 0, levels)
 	p, err := buildPartition(u, part, numParts)
 	if err != nil {
 		return nil, err
@@ -184,7 +197,7 @@ func RCB(u *Mesh, levels int) (*Partition, error) {
 	for i := range p.Owned {
 		p.Owned[i] = p.Owned[i][:0]
 	}
-	for _, c := range CanonicalOrder(u) {
+	for _, c := range order {
 		p.Owned[part[c]] = append(p.Owned[part[c]], int(c))
 	}
 	p.canonical = true

@@ -1,6 +1,8 @@
 package umesh
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/mesh"
@@ -159,7 +161,7 @@ func TestCanonicalOrderHierarchy(t *testing.T) {
 			seen[c] = true
 		}
 		blockAt := map[int]bool{}
-		for _, b := range canonicalBlocks(u.NumCells) {
+		for _, b := range canonicalBlocks(u.NumCells, reductionDepth) {
 			blockAt[int(b)] = true
 		}
 		for _, levels := range []int{0, 1, 2, 3} {
@@ -183,6 +185,123 @@ func TestCanonicalOrderHierarchy(t *testing.T) {
 			}
 			if pos != u.NumCells {
 				t.Fatalf("%s levels=%d: Owned lists cover %d of %d cells", name, levels, pos, u.NumCells)
+			}
+		}
+	}
+}
+
+// legacyBisect is the median split as RCB and CanonicalOrder each ran it
+// before they shared one recursion: sort.Slice on a comparator that reads
+// the centroid through the id on every comparison.
+func legacyBisect(u *Mesh, ids []int) int {
+	var lo, hi [3]float64
+	for k := 0; k < 3; k++ {
+		lo[k], hi[k] = u.Centroid[ids[0]][k], u.Centroid[ids[0]][k]
+	}
+	for _, c := range ids {
+		for k := 0; k < 3; k++ {
+			if v := u.Centroid[c][k]; v < lo[k] {
+				lo[k] = v
+			} else if v > hi[k] {
+				hi[k] = v
+			}
+		}
+	}
+	axis := 0
+	for k := 1; k < 3; k++ {
+		if hi[k]-lo[k] > hi[axis]-lo[axis] {
+			axis = k
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := u.Centroid[ids[i]][axis], u.Centroid[ids[j]][axis]
+		if a != b {
+			return a < b
+		}
+		return ids[i] < ids[j]
+	})
+	return len(ids) / 2
+}
+
+// legacyCanonicalOrder is CanonicalOrder's former full-depth recursion.
+func legacyCanonicalOrder(u *Mesh) []int {
+	canon := make([]int, u.NumCells)
+	for i := range canon {
+		canon[i] = i
+	}
+	var rec func(ids []int)
+	rec = func(ids []int) {
+		if len(ids) > 1 {
+			mid := legacyBisect(u, ids)
+			rec(ids[:mid])
+			rec(ids[mid:])
+		}
+	}
+	rec(canon)
+	return canon
+}
+
+// legacyRCB returns the part map of RCB's former own split recursion and
+// its Owned lists in the given canonical order.
+func legacyRCB(u *Mesh, levels int, canon []int) (part []int, owned [][]int) {
+	part = make([]int, u.NumCells)
+	cells := make([]int, u.NumCells)
+	for i := range cells {
+		cells[i] = i
+	}
+	var split func(ids []int, base, lvl int)
+	split = func(ids []int, base, lvl int) {
+		if lvl == 0 {
+			for _, c := range ids {
+				part[c] = base
+			}
+			return
+		}
+		mid := legacyBisect(u, ids)
+		split(ids[:mid], base, lvl-1)
+		split(ids[mid:], base+(1<<(lvl-1)), lvl-1)
+	}
+	split(cells, 0, levels)
+	owned = make([][]int, 1<<levels)
+	for _, c := range canon {
+		owned[part[c]] = append(owned[part[c]], c)
+	}
+	return part, owned
+}
+
+func TestRCBMatchesLegacyComparator(t *testing.T) {
+	// RCB now reads its parts off CanonicalOrder's cuts, and bisect sorts
+	// precomputed (key, id) records: the partitions and the order must be
+	// exactly those of the former separate recursions and comparator.
+	fixtures := engineFixtures(t)
+	rad, err := NewRadialMesh(RadialOptions{Rings: 64, BaseSectors: 64, RefineEvery: 16, R0: 1, DR: 4, Dz: 4, PermMD: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures["radial-64x64"] = rad
+	for name, u := range fixtures {
+		wantCanon := legacyCanonicalOrder(u)
+		for i, c := range CanonicalOrder(u) {
+			if int(c) != wantCanon[i] {
+				t.Fatalf("%s: CanonicalOrder[%d] = %d, legacy order has %d", name, i, c, wantCanon[i])
+			}
+		}
+		for levels := 0; levels <= 4; levels++ {
+			wantPart, wantOwned := legacyRCB(u, levels, wantCanon)
+			p, err := RCB(u, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(p.Part, wantPart) {
+				t.Fatalf("%s levels=%d: part map differs from the legacy recursion", name, levels)
+			}
+			if len(p.Owned) != len(wantOwned) {
+				t.Fatalf("%s levels=%d: %d Owned lists, legacy has %d", name, levels, len(p.Owned), len(wantOwned))
+			}
+			for k := range wantOwned {
+				if !slices.Equal(p.Owned[k], wantOwned[k]) {
+					t.Fatalf("%s levels=%d: Owned[%d] differs from the legacy recursion", name, levels, k)
+				}
 			}
 		}
 	}

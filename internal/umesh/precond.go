@@ -153,7 +153,7 @@ func (s *USystem) amg() (*amgLevel, error) {
 func buildAMGLevel(s *USystem) (*amgLevel, error) {
 	u := s.U
 	order := CanonicalOrder(u)
-	blocks := canonicalBlocks(u.NumCells)
+	blocks := canonicalBlocks(u.NumCells, reductionDepth)
 	lvl := &amgLevel{pos: make([]int32, u.NumCells)}
 	for k, c := range order {
 		lvl.pos[c] = int32(k)

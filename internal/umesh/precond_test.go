@@ -145,7 +145,7 @@ func TestAMGAggregationStructure(t *testing.T) {
 	}
 	seen := make([]bool, u.NumCells)
 	order := CanonicalOrder(u)
-	blocks := canonicalBlocks(u.NumCells)
+	blocks := canonicalBlocks(u.NumCells, reductionDepth)
 	blockOf := make([]int, u.NumCells)
 	for bi := range blocks {
 		lo, hi := int(blocks[bi]), len(order)
