@@ -37,7 +37,8 @@ bench-kernel:
 	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x -short ./internal/dsd/ ./internal/core/
 
 # The partitioned unstructured engine microbenchmarks (engine step vs serial
-# sweep) once each — CI's guarantee that they keep compiling and running.
+# sweep, and the uncached canonical-order recursion RCB partitions from)
+# once each — CI's guarantee that they keep compiling and running.
 bench-umesh:
 	@echo "bench-umesh: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
 	$(GO) test -run '^$$' -bench BenchmarkUmesh -benchtime 1x -short ./internal/umesh/

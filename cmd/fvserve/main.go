@@ -171,6 +171,29 @@ func runSelftest(opts serve.Options, jsonPath string, requests int, arrivalRate 
 	return nil
 }
 
+// Connection timeouts of the daemon's HTTP server. A client that stalls
+// mid-header or mid-body, or parks an idle keep-alive connection, releases
+// its connection instead of holding it forever. readTimeout covers the whole
+// request, so it sits far above the transfer time of a serve.MaxBodyBytes
+// body even on a slow link (1 MiB takes about 8 s at 1 Mbit/s). No write
+// timeout: a response is written only after its solve, whose length
+// -deadline or the request's deadline_ms bounds when set.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps the serving handler in the daemon's HTTP server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serveDaemon runs the HTTP server until SIGTERM/SIGINT, then drains: the
 // listener closes, in-flight requests run to completion, late requests get
 // 503, and the resident engines are released. A positive drainTimeout
@@ -182,7 +205,7 @@ func serveDaemon(addr string, opts serve.Options, drainTimeout time.Duration, st
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(stdout, "fvserve: listening on %s (cache %d, engines/scenario %d, queue %d)\n",

@@ -3,8 +3,12 @@ package main
 import (
 	"errors"
 	"flag"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/serve"
 )
 
 // TestHelpReturnsErrHelp pins the -h contract: run surfaces flag.ErrHelp
@@ -55,5 +59,23 @@ func TestRunCLIValidation(t *testing.T) {
 				t.Errorf("run(%v) error %q does not contain %q", c.args, err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestHTTPServerTimeouts pins the daemon's connection timeouts: all three
+// are set, and the whole-request read timeout leaves room to upload a
+// maximal body at 1 Mbit/s several times over.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("timeouts header/read/idle = %v/%v/%v, want all set",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadHeaderTimeout > hs.ReadTimeout {
+		t.Errorf("header timeout %v exceeds the whole-request timeout %v", hs.ReadHeaderTimeout, hs.ReadTimeout)
+	}
+	slowUpload := time.Duration(serve.MaxBodyBytes*8) * time.Microsecond // 1 Mbit/s
+	if hs.ReadTimeout < 4*slowUpload {
+		t.Errorf("ReadTimeout %v is under 4× a %d-byte upload at 1 Mbit/s (%v)", hs.ReadTimeout, serve.MaxBodyBytes, slowUpload)
 	}
 }

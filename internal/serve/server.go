@@ -64,6 +64,11 @@ const (
 	DefaultMemoCapacity       = 64
 )
 
+// MaxBodyBytes bounds a /v1/solve request body: the decoder never reads
+// past it, and a longer body is rejected with 400. The largest legitimate
+// request — a scenario plus its wells — is a few kilobytes.
+const MaxBodyBytes = 1 << 20
+
 // Options configures a Server. The zero value serves with the documented
 // defaults.
 type Options struct {
@@ -505,10 +510,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := s.opts.Now()
 	s.stats.Requests.Add(1)
 
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	var req SolveRequest
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid,
+				"serve: request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "bad request body: %v", err)
 		return
 	}

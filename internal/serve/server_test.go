@@ -87,6 +87,32 @@ func TestSolveRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestSolveBodyBound pins the request-size gate: a well-formed request
+// padded to exactly MaxBodyBytes solves, one byte more is a 400 that names
+// the limit, and both count in the ledger.
+func TestSolveBodyBound(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	padded := func(size int) string {
+		b := testBody("")
+		return b[:len(b)-1] + strings.Repeat(" ", size-len(b)) + "}"
+	}
+	if code := postSolve(t, ts, padded(MaxBodyBytes), nil); code != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes: status %d, want 200", MaxBodyBytes, code)
+	}
+	var errBody map[string]any
+	if code := postSolve(t, ts, padded(MaxBodyBytes+1), &errBody); code != http.StatusBadRequest {
+		t.Fatalf("body over the cap: status %d, want 400 (%v)", code, errBody)
+	}
+	if msg, _ := errBody["error"].(string); !strings.Contains(msg, "1048576 bytes") {
+		t.Errorf("rejection does not name the limit: %q", msg)
+	}
+	st := s.Stats()
+	if st.Requests != 2 || st.RejectedInvalid != 1 || st.Admitted != 1 {
+		t.Errorf("ledger Requests/RejectedInvalid/Admitted = %d/%d/%d, want 2/1/1",
+			st.Requests, st.RejectedInvalid, st.Admitted)
+	}
+}
+
 // TestSolveMaxCellsBound pins the admission-time size gate: a scenario over
 // MaxCells is rejected before compiling.
 func TestSolveMaxCellsBound(t *testing.T) {

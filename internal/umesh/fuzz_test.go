@@ -1,6 +1,8 @@
 package umesh
 
 import (
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -23,9 +25,24 @@ func (r *fuzzRand) next() uint64 {
 
 func (r *fuzzRand) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
 
+// Geometry modes, picked by the top bits of the fuzz seed so the checked-in
+// corpus entries (all small seeds) keep their uniform random centroids.
+const (
+	// fuzzTieBit snaps every centroid component to a grid of 1-4 values,
+	// the count taken from the two bits below fuzzSortedBit: many keys tie
+	// and the id tie-break decides the median. A one-value grid makes every
+	// centroid equal.
+	fuzzTieBit = 1 << 63
+	// fuzzSortedBit lays the cells out in id order along a stretched x
+	// axis, so the first split's keys arrive already sorted along the
+	// widest axis — the classic adversarial input for quickselect.
+	fuzzSortedBit = 1 << 62
+)
+
 // randomFuzzMesh builds an arbitrary-topology mesh from fuzzer-chosen sizes:
 // random centroids in a box, random face pairs (duplicates and isolated
 // cells allowed — the partitioner must cope with degenerate topology).
+// The seed's top bits select the tie-heavy and sorted geometry modes.
 func randomFuzzMesh(seed uint64, cells, faces int) *Mesh {
 	rng := fuzzRand(seed)
 	u := &Mesh{
@@ -34,9 +51,18 @@ func randomFuzzMesh(seed uint64, cells, faces int) *Mesh {
 		Elev:     make([]float64, cells),
 		Centroid: make([][3]float64, cells),
 	}
+	grid := float64(1 + (seed>>60)&3)
 	for c := 0; c < cells; c++ {
 		u.Volume[c] = 1 + rng.float()
-		u.Centroid[c] = [3]float64{rng.float() * 100, rng.float() * 100, rng.float() * 10}
+		x, y, z := rng.float(), rng.float(), rng.float()
+		xSpan := 100.0
+		if seed&fuzzSortedBit != 0 {
+			x, xSpan = float64(c)/float64(cells), 1000
+		}
+		if seed&fuzzTieBit != 0 {
+			x, y, z = math.Floor(x*grid), math.Floor(y*grid), math.Floor(z*grid)
+		}
+		u.Centroid[c] = [3]float64{x * xSpan, y * 100, z * 10}
 		u.Elev[c] = u.Centroid[c][2]
 	}
 	for i := 0; i < faces; i++ {
@@ -151,11 +177,44 @@ func assertHaloFaceAdjacent(t *testing.T, u *Mesh, p *Partition) {
 	}
 }
 
+// TestFuzzMeshModes pins what the geometry modes promise, so the corpus
+// seeds named for them keep testing what their names say.
+func TestFuzzMeshModes(t *testing.T) {
+	distinct := func(u *Mesh, k int) int {
+		vals := map[float64]bool{}
+		for _, c := range u.Centroid {
+			vals[c[k]] = true
+		}
+		return len(vals)
+	}
+	for g := uint64(0); g < 4; g++ {
+		u := randomFuzzMesh(fuzzTieBit|g<<60|5, 200, 0)
+		for k := 0; k < 3; k++ {
+			if n := distinct(u, k); n > int(g)+1 {
+				t.Errorf("grid %d: axis %d has %d distinct values", g+1, k, n)
+			}
+		}
+	}
+	if u := randomFuzzMesh(fuzzTieBit|5, 200, 0); distinct(u, 0)+distinct(u, 1)+distinct(u, 2) != 3 {
+		t.Error("one-value grid left centroids unequal")
+	}
+	u := randomFuzzMesh(fuzzSortedBit|7, 300, 0)
+	for c := 1; c < u.NumCells; c++ {
+		if u.Centroid[c][0] <= u.Centroid[c-1][0] {
+			t.Fatalf("sorted mode: x of cell %d not above cell %d", c, c-1)
+		}
+	}
+	if span := u.Centroid[u.NumCells-1][0] - u.Centroid[0][0]; span <= 100 {
+		t.Errorf("sorted mode: x spans %g, not wider than y's 100", span)
+	}
+}
+
 func FuzzPartition(f *testing.F) {
 	f.Add(uint64(1), uint64(40), uint64(80), uint64(2))
 	f.Add(uint64(99), uint64(1), uint64(0), uint64(0))   // single isolated cell
 	f.Add(uint64(7), uint64(16), uint64(200), uint64(4)) // dense multigraph
 	f.Add(uint64(3), uint64(250), uint64(500), uint64(3))
+	f.Add(uint64(fuzzTieBit|3<<60|11), uint64(150), uint64(300), uint64(3)) // 4-value grid
 	f.Fuzz(func(t *testing.T, seed, nCells, nFaces, nLevels uint64) {
 		cells := int(nCells%300) + 1
 		faces := int(nFaces % 1200)
@@ -177,6 +236,25 @@ func FuzzPartition(f *testing.F) {
 		assertOwnershipPartition(t, u, p)
 		assertPlanSymmetry(t, p)
 		assertHaloFaceAdjacent(t, u, p)
+
+		// The selection-based recursion must reproduce the full-sort
+		// oracle exactly: the canonical order and the part map with its
+		// Owned lists.
+		wantCanon := legacyCanonicalOrder(u)
+		for i, c := range CanonicalOrder(u) {
+			if int(c) != wantCanon[i] {
+				t.Fatalf("CanonicalOrder[%d] = %d, the full-sort recursion has %d", i, c, wantCanon[i])
+			}
+		}
+		wantPart, wantOwned := legacyRCB(u, levels, wantCanon)
+		if !slices.Equal(p.Part, wantPart) {
+			t.Fatalf("levels=%d: part map differs from the full-sort recursion", levels)
+		}
+		for k := range wantOwned {
+			if !slices.Equal(p.Owned[k], wantOwned[k]) {
+				t.Fatalf("levels=%d: Owned[%d] differs from the full-sort recursion", levels, k)
+			}
+		}
 	})
 }
 

@@ -2,6 +2,7 @@ package umesh
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -32,31 +33,34 @@ type Partition struct {
 	recvPlan []map[int][]int
 }
 
-// keyID is one record of bisect's sort: a cell's centroid coordinate along
-// the split axis and the cell id that breaks ties.
-type keyID struct {
-	key float64
-	id  int
+// cellRec is one record of the canonical-order recursion: a cell's
+// centroid and id, carried through the median splits so each split reads
+// its subset's coordinates sequentially rather than through the ids.
+type cellRec struct {
+	c  [3]float64
+	id int
+}
+
+// before is the split's total order along axis: the centroid coordinate
+// first, cell id breaking ties. Ids are distinct, so no two records compare
+// equal.
+func (a *cellRec) before(b *cellRec, axis int) bool {
+	return a.c[axis] < b.c[axis] || (a.c[axis] == b.c[axis] && a.id < b.id)
 }
 
 // bisect is the median split the canonical-order recursion is built from:
-// sort the subset along the widest axis of its bounding box (cell id breaks
-// ties, so the split is deterministic) and cut at the middle. The sort runs
-// over precomputed (key, id) records in buf, one buffer of at least
-// len(ids) records reused across the whole recursion.
-func bisect(u *Mesh, ids []int, buf []keyID) int {
-	var lo, hi [3]float64
-	for k := 0; k < 3; k++ {
-		lo[k], hi[k] = u.Centroid[ids[0]][k], u.Centroid[ids[0]][k]
-	}
-	for _, c := range ids {
-		for k := 0; k < 3; k++ {
-			if v := u.Centroid[c][k]; v < lo[k] {
-				lo[k] = v
-			} else if v > hi[k] {
-				hi[k] = v
-			}
-		}
+// order the subset along the widest axis of its bounding box (cell id
+// breaks ties, so the split is deterministic) and cut at the middle. Only
+// the cut matters — the recursion re-splits each half, so the order within
+// a half never survives — so bisect selects rather than sorts: afterwards
+// recs[:len/2] holds the len/2 smallest records, in no particular order.
+func bisect(recs []cellRec) int {
+	lo, hi := recs[0].c, recs[0].c
+	for i := range recs {
+		c := &recs[i].c
+		lo[0], hi[0] = min(lo[0], c[0]), max(hi[0], c[0])
+		lo[1], hi[1] = min(lo[1], c[1]), max(hi[1], c[1])
+		lo[2], hi[2] = min(lo[2], c[2]), max(hi[2], c[2])
 	}
 	axis := 0
 	for k := 1; k < 3; k++ {
@@ -64,23 +68,78 @@ func bisect(u *Mesh, ids []int, buf []keyID) int {
 			axis = k
 		}
 	}
-	recs := buf[:len(ids)]
-	for i, c := range ids {
-		recs[i] = keyID{key: u.Centroid[c][axis], id: c}
-	}
-	slices.SortFunc(recs, func(a, b keyID) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
+	mid := len(recs) / 2
+	selectRecs(recs, mid, axis, 2*bits.Len(uint(len(recs))))
+	return mid
+}
+
+// selectRecs permutes recs in place so that recs[:k] holds its k smallest
+// records along axis and recs[k] the next one: introselect, a
+// median-of-three quickselect that sorts the remaining subrange once it has
+// spent budget partition rounds. bisect grants 2·log2(len) rounds, so the
+// expected cost is linear and the worst case stays O(n log n).
+func selectRecs(recs []cellRec, k, axis, budget int) {
+	lo, hi := 0, len(recs)
+	for ; hi-lo > 12; budget-- {
+		if budget == 0 {
+			slices.SortFunc(recs[lo:hi], func(a, b cellRec) int {
+				switch {
+				case a.before(&b, axis):
+					return -1
+				case b.before(&a, axis):
+					return 1
+				}
+				return 0
+			})
+			return
 		}
-		return a.id - b.id // deterministic tie-break
-	})
-	for i := range recs {
-		ids[i] = recs[i].id
+		p := lo + partitionRecs(recs[lo:hi], axis)
+		switch {
+		case k < p:
+			hi = p
+		case k > p:
+			lo = p + 1
+		default:
+			return
+		}
 	}
-	return len(ids) / 2
+	for i := lo + 1; i < hi; i++ { // insertion sort the short tail
+		for j := i; j > lo && recs[j].before(&recs[j-1], axis); j-- {
+			recs[j], recs[j-1] = recs[j-1], recs[j]
+		}
+	}
+}
+
+// partitionRecs splits r (len ≥ 3) around the median of its first, middle
+// and last records and returns the pivot's final index: every record before
+// it is smaller, every record after it larger. Sorting the three samples
+// leaves a sentinel at each end, so neither scan needs an end test.
+func partitionRecs(r []cellRec, axis int) int {
+	n, m := len(r), len(r)/2
+	if r[m].before(&r[0], axis) {
+		r[0], r[m] = r[m], r[0]
+	}
+	if r[n-1].before(&r[m], axis) {
+		r[m], r[n-1] = r[n-1], r[m]
+		if r[m].before(&r[0], axis) {
+			r[0], r[m] = r[m], r[0]
+		}
+	}
+	pivot := r[m]
+	r[m], r[n-2] = r[n-2], r[m]
+	i, j := 0, n-2
+	for {
+		for i++; r[i].before(&pivot, axis); i++ {
+		}
+		for j--; pivot.before(&r[j], axis); j-- {
+		}
+		if i >= j {
+			break
+		}
+		r[i], r[j] = r[j], r[i]
+	}
+	r[i], r[n-2] = r[n-2], r[i]
+	return i
 }
 
 // CanonicalOrder returns the mesh's cells in canonical RCB order: the
@@ -105,24 +164,23 @@ func CanonicalOrder(u *Mesh) []int32 {
 	if u.canon != nil {
 		return u.canon
 	}
-	ids := make([]int, u.NumCells)
-	for i := range ids {
-		ids[i] = i
+	recs := make([]cellRec, u.NumCells)
+	for i := range recs {
+		recs[i] = cellRec{c: u.Centroid[i], id: i}
 	}
-	buf := make([]keyID, len(ids))
-	var rec func(ids []int)
-	rec = func(ids []int) {
-		if len(ids) <= 1 {
+	var rec func(recs []cellRec)
+	rec = func(recs []cellRec) {
+		if len(recs) <= 1 {
 			return
 		}
-		mid := bisect(u, ids, buf)
-		rec(ids[:mid])
-		rec(ids[mid:])
+		mid := bisect(recs)
+		rec(recs[:mid])
+		rec(recs[mid:])
 	}
-	rec(ids)
-	order := make([]int32, len(ids))
-	for i, c := range ids {
-		order[i] = int32(c)
+	rec(recs)
+	order := make([]int32, len(recs))
+	for i := range recs {
+		order[i] = int32(recs[i].id)
 	}
 	u.canon = order
 	return order

@@ -1,6 +1,7 @@
 package umesh
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -191,8 +192,9 @@ func TestCanonicalOrderHierarchy(t *testing.T) {
 }
 
 // legacyBisect is the median split as RCB and CanonicalOrder each ran it
-// before they shared one recursion: sort.Slice on a comparator that reads
-// the centroid through the id on every comparison.
+// before they shared one recursion: a full sort.Slice on a comparator that
+// reads the centroid through the id on every comparison. It is the oracle
+// for the selection-based bisect.
 func legacyBisect(u *Mesh, ids []int) int {
 	var lo, hi [3]float64
 	for k := 0; k < 3; k++ {
@@ -270,9 +272,10 @@ func legacyRCB(u *Mesh, levels int, canon []int) (part []int, owned [][]int) {
 }
 
 func TestRCBMatchesLegacyComparator(t *testing.T) {
-	// RCB now reads its parts off CanonicalOrder's cuts, and bisect sorts
-	// precomputed (key, id) records: the partitions and the order must be
-	// exactly those of the former separate recursions and comparator.
+	// RCB reads its parts off CanonicalOrder's cuts, and bisect selects
+	// the median over (centroid, id) records instead of sorting: the
+	// partitions and the order must be exactly those of the former
+	// separate full-sort recursions and comparator.
 	fixtures := engineFixtures(t)
 	rad, err := NewRadialMesh(RadialOptions{Rings: 64, BaseSectors: 64, RefineEvery: 16, R0: 1, DR: 4, Dz: 4, PermMD: 200})
 	if err != nil {
@@ -307,6 +310,50 @@ func TestRCBMatchesLegacyComparator(t *testing.T) {
 	}
 }
 
+func TestSelectRecsMatchesSort(t *testing.T) {
+	// Every k on inputs that stress a median-of-three quickselect (sorted,
+	// reversed, organ pipe, all keys tied, two keys), with the partition
+	// budget both ample and exhausted at once so the sort fallback runs too.
+	const n = 64
+	inputs := map[string]func(i int) float64{
+		"sorted":     func(i int) float64 { return float64(i) },
+		"reversed":   func(i int) float64 { return float64(n - i) },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-1-i)) },
+		"tied":       func(int) float64 { return 7 },
+		"two-keys":   func(i int) float64 { return float64(i % 2) },
+	}
+	for name, key := range inputs {
+		input := make([]cellRec, n)
+		for i := range input {
+			input[i] = cellRec{c: [3]float64{0, key(i), 0}, id: (i * 37) % n}
+		}
+		want := slices.Clone(input)
+		slices.SortFunc(want, func(a, b cellRec) int {
+			switch {
+			case a.before(&b, 1):
+				return -1
+			case b.before(&a, 1):
+				return 1
+			}
+			return 0
+		})
+		for _, budget := range []int{0, 2 * bits.Len(n)} {
+			for k := 0; k < n; k++ {
+				recs := slices.Clone(input)
+				selectRecs(recs, k, 1, budget)
+				if recs[k] != want[k] {
+					t.Fatalf("%s budget=%d k=%d: recs[k] = %v, want %v", name, budget, k, recs[k], want[k])
+				}
+				for i := range k {
+					if !recs[i].before(&recs[k], 1) {
+						t.Fatalf("%s budget=%d k=%d: recs[%d] = %v is not below recs[k]", name, budget, k, i, recs[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestCanonicalOrderCachedAndInvalidated(t *testing.T) {
 	// The order is computed once per mesh; geometry mutation rebuilds it.
 	_, u := structuredFixture(t, mesh.Dims{Nx: 6, Ny: 5, Nz: 2})
@@ -330,4 +377,27 @@ func containsCell(cells []int, c int) bool {
 		}
 	}
 	return false
+}
+
+// BenchmarkUmeshCanonicalOrder times one uncached CanonicalOrder — the
+// full-depth median-split recursion RCB reads its parts off — on flux-sweep's
+// 983040-cell radial mesh (a 1536-cell one under -short). The mesh is
+// rebuilt outside the timer each iteration, so every call recomputes.
+func BenchmarkUmeshCanonicalOrder(b *testing.B) {
+	opts := RadialOptions{Rings: 512, BaseSectors: 512, RefineEvery: 128, R0: 1, DR: 4, Dz: 4, PermMD: 200}
+	if testing.Short() {
+		opts.Rings, opts.BaseSectors, opts.RefineEvery = 32, 32, 16
+	}
+	var cells int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		u, err := NewRadialMesh(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = u.NumCells
+		b.StartTimer()
+		CanonicalOrder(u)
+	}
+	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }

@@ -110,6 +110,16 @@ func (u *Mesh) Validate() error {
 	if len(u.Centroid) != u.NumCells {
 		return fmt.Errorf("umesh: centroid length %d != cells %d", len(u.Centroid), u.NumCells)
 	}
+	// The median splits of CanonicalOrder and RCB need a total order on
+	// every centroid coordinate, which NaN breaks; ±Inf turns the
+	// bounding-box extent that picks the split axis into NaN or Inf.
+	for c, x := range u.Centroid {
+		for _, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("umesh: cell %d has non-finite centroid %v", c, x)
+			}
+		}
+	}
 	for i, f := range u.Faces {
 		if f.A < 0 || f.A >= u.NumCells || f.B < 0 || f.B >= u.NumCells || f.A == f.B {
 			return fmt.Errorf("umesh: face %d connects invalid cells (%d, %d)", i, f.A, f.B)

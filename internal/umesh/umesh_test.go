@@ -2,6 +2,7 @@ package umesh
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -348,6 +349,41 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	um.Faces[0].A = 10_000
 	if err := um.Validate(); err == nil {
 		t.Error("out-of-range face accepted")
+	}
+}
+
+func TestValidateRejectsNonFiniteCentroids(t *testing.T) {
+	// The median split assumes a total order on centroid keys: a NaN or
+	// ±Inf in any component must be rejected, naming the cell.
+	cases := []struct {
+		name string
+		axis int
+		v    float64
+	}{
+		{"NaN x", 0, math.NaN()},
+		{"NaN y", 1, math.NaN()},
+		{"NaN z", 2, math.NaN()},
+		{"+Inf x", 0, math.Inf(1)},
+		{"-Inf y", 1, math.Inf(-1)},
+		{"+Inf z", 2, math.Inf(1)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, um := structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
+			um.Centroid[7][c.axis] = c.v
+			err := um.Validate()
+			if err == nil || !strings.Contains(err.Error(), "cell 7 ") {
+				t.Fatalf("Validate() = %v, want an error naming cell 7", err)
+			}
+			if _, err := RCB(um, 1); err == nil {
+				t.Error("RCB accepted the mesh")
+			}
+		})
+	}
+	_, um := structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
+	um.Centroid[7] = [3]float64{-math.MaxFloat64, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	if err := um.Validate(); err != nil {
+		t.Errorf("finite extreme centroid rejected: %v", err)
 	}
 }
 
