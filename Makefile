@@ -78,13 +78,15 @@ chaos-smoke:
 	$(GO) test -race -run TestChaos -count=1 ./internal/faultinject/
 
 # Short native-fuzz exploration of the RCB partitioner, the radial mesh
-# builder and the branch-free upwind select of the face flux (the checked-in
-# seed corpora already run under plain `make test`). -fuzz accepts one
-# target per invocation, hence one run each.
+# builder, the branch-free upwind select of the face flux and the Krylov
+# recurrences against their slice oracle (the checked-in seed corpora
+# already run under plain `make test`). -fuzz accepts one target per
+# invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzRadialMesh$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaceFluxRho$$' -fuzztime 10s ./internal/physics/
+	$(GO) test -run '^$$' -fuzz '^FuzzKrylovMatchesOracle$$' -fuzztime 10s ./internal/solver/
 
 # Per-package coverage gate over the solver-path packages. Floors are pinned
 # a few points under the measured numbers so genuine regressions fail while

@@ -42,13 +42,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pre, err := solver.JacobiPrecond(sys.Diagonal())
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	x := make([]float64, op.Size())
-	st, err := solver.CG(op, x, b, solver.Options{Tol: 1e-6, MaxIter: 300, Precond: pre})
+	st, err := solver.CG(op, x, b, solver.Options{Tol: 1e-6, MaxIter: 300, PrecondDiag: sys.Diagonal()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,6 +69,15 @@ const (
 // request — a scenario plus its wells — is a few kilobytes.
 const MaxBodyBytes = 1 << 20
 
+// MaxSteps and MaxKrylovIter bound a /v1/solve request's backward-Euler
+// step count and its scenario's Krylov iteration cap, so one request cannot
+// hold an engine for an unbounded time when no deadline is set. A larger
+// value is rejected with 400.
+const (
+	MaxSteps      = 10000
+	MaxKrylovIter = 10000
+)
+
 // Options configures a Server. The zero value serves with the documented
 // defaults.
 type Options struct {
@@ -526,8 +535,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "%v", err)
 		return
 	}
-	if req.Steps < 0 {
-		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "serve: steps must be non-negative, got %d", req.Steps)
+	if req.Steps < 0 || req.Steps > MaxSteps {
+		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "serve: steps must be in [0, %d], got %d", MaxSteps, req.Steps)
+		return
+	}
+	if req.Scenario.MaxIter > MaxKrylovIter {
+		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid,
+			"serve: max_iter must be at most %d, got %d", MaxKrylovIter, req.Scenario.MaxIter)
 		return
 	}
 	if req.DeadlineMillis < 0 {

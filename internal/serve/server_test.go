@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -110,6 +111,37 @@ func TestSolveBodyBound(t *testing.T) {
 	if st.Requests != 2 || st.RejectedInvalid != 1 || st.Admitted != 1 {
 		t.Errorf("ledger Requests/RejectedInvalid/Admitted = %d/%d/%d, want 2/1/1",
 			st.Requests, st.RejectedInvalid, st.Admitted)
+	}
+}
+
+// TestSolveStepAndIterBounds pins the per-request work bounds: steps and
+// max_iter at their caps pass validation (a negative well cell then rejects
+// the request, so no solve runs), one over is a 400 that names the bound,
+// and every request balances the Requests/RejectedInvalid ledger.
+func TestSolveStepAndIterBounds(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	const badWell = `"wells":[{"cell":-1,"rate":2}]`
+	cases := []struct {
+		name, body, want string
+	}{
+		{"steps at cap", fmt.Sprintf(`{"scenario":{"rings":6,"sectors":8},"steps":%d,%s}`, MaxSteps, badWell), "well cell -1"},
+		{"steps over cap", fmt.Sprintf(`{"scenario":{"rings":6,"sectors":8},"steps":%d,%s}`, MaxSteps+1, badWell), "[0, 10000]"},
+		{"max_iter at cap", fmt.Sprintf(`{"scenario":{"rings":6,"sectors":8,"max_iter":%d},%s}`, MaxKrylovIter, badWell), "well cell -1"},
+		{"max_iter over cap", fmt.Sprintf(`{"scenario":{"rings":6,"sectors":8,"max_iter":%d},%s}`, MaxKrylovIter+1, badWell), "at most 10000"},
+	}
+	for _, tc := range cases {
+		var errBody map[string]any
+		if code := postSolve(t, ts, tc.body, &errBody); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, code)
+		}
+		if msg, _ := errBody["error"].(string); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: rejection %q does not mention %q", tc.name, msg, tc.want)
+		}
+	}
+	st := s.Stats()
+	if n := uint64(len(cases)); st.Requests != n || st.RejectedInvalid != n || st.Admitted != 0 || st.CacheMisses != 0 {
+		t.Errorf("ledger Requests/RejectedInvalid/Admitted/CacheMisses = %d/%d/%d/%d, want %d/%d/0/0",
+			st.Requests, st.RejectedInvalid, st.Admitted, st.CacheMisses, n, n)
 	}
 }
 

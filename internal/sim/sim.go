@@ -105,12 +105,8 @@ func RunTransient(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error)
 	} else {
 		op = &solver.HostOperator{Sys: sys}
 	}
-	pre, err := solver.JacobiPrecond(sys.Diagonal())
-	if err != nil {
-		return nil, err
-	}
 	sopts := opts.Solver
-	sopts.Precond = pre
+	sopts.PrecondDiag = sys.Diagonal()
 
 	n := m.Dims.Cells()
 	b := make([]float64, n)

@@ -3,20 +3,20 @@ package solver
 import "fmt"
 
 // This file is the preconditioner ladder's solver-side plumbing. A
-// preconditioner rung is selected by name (Options.PrecondKind); how it is
-// realized depends on the operator:
+// preconditioner rung is selected by name (Options.PrecondKind) and
+// installed on the solve's VectorSpace by installPrecond, the one place a
+// rung is chosen:
 //
-//   - the slice path asks the operator to build a closure through the
-//     optional PrecondFactory extension (the serial reference operator
-//     implements it, so serial golden trajectories wrap the very same
-//     preconditioner the partitioned solves run);
-//   - the part-resident path installs the rung through the optional
+//   - a VectorSpace operator installs the rung through the optional
 //     ResidentPrecond extension, so the preconditioner application executes
-//     as fused phases in the operator's own compact layout.
+//     as fused phases in the operator's own compact layout;
+//   - any other operator is asked for a closure over global slices through
+//     the optional PrecondFactory extension (the serial reference operator
+//     implements it, so serial golden trajectories wrap the very same
+//     preconditioner the partitioned solves run).
 //
-// Jacobi (and the identity default) need no operator cooperation: both paths
-// implement them directly from Options.PrecondDiag, exactly as before the
-// ladder existed.
+// Jacobi (and the identity default) need no operator cooperation: every
+// VectorSpace implements them directly from Options.PrecondDiag.
 
 // PrecondKind names a rung of the preconditioner ladder. The zero value
 // selects the pre-ladder default: Jacobi when Options.PrecondDiag is set,
@@ -73,12 +73,13 @@ func (k PrecondKind) operatorBuilt() bool {
 	return false
 }
 
-// PrecondFactory is an optional Operator extension: an operator that can
-// build the ladder's operator-defined preconditioners as slice closures.
-// The slice-path solvers call it for any operator-built PrecondKind; the
-// returned closure must apply the exact same arithmetic, in the same order,
-// as the operator's resident counterpart (ResidentPrecond), so slice and
-// resident solves with the same rung stay bit-identical.
+// PrecondFactory is an optional extension of an Operator that is not a
+// VectorSpace: an operator that can build the ladder's operator-defined
+// preconditioners as closures over global slices. A solve calls it for any
+// operator-built PrecondKind; the returned closure must apply the exact
+// same arithmetic, in the same order, as the operator family's resident
+// counterpart (ResidentPrecond), so serial and partitioned solves with the
+// same rung stay bit-identical.
 type PrecondFactory interface {
 	MakePrecond(kind PrecondKind, diag []float64) (func(z, r []float64), error)
 }
@@ -92,49 +93,10 @@ type ResidentPrecond interface {
 	SetPrecond(kind PrecondKind, diag []float64) error
 }
 
-// resolvePrecond materializes Options.PrecondKind/PrecondDiag into the
-// slice-path closure when no explicit closure was given. Operator-built
-// rungs are delegated to the operator's PrecondFactory.
-func resolvePrecond(a Operator, opts *Options) error {
-	if !opts.PrecondKind.valid() {
-		return fmt.Errorf("solver: unknown preconditioner kind %q", opts.PrecondKind)
-	}
-	if opts.Precond != nil {
-		return nil
-	}
-	if opts.PrecondKind.operatorBuilt() {
-		f, ok := a.(PrecondFactory)
-		if !ok {
-			return fmt.Errorf("solver: operator %T cannot build the %q preconditioner (no PrecondFactory)", a, opts.PrecondKind)
-		}
-		pre, err := f.MakePrecond(opts.PrecondKind, opts.PrecondDiag)
-		if err != nil {
-			return err
-		}
-		opts.Precond = pre
-		return nil
-	}
-	if opts.PrecondDiag == nil {
-		if opts.PrecondKind == PrecondJacobi {
-			return fmt.Errorf("solver: %q preconditioning needs Options.PrecondDiag", opts.PrecondKind)
-		}
-		return nil
-	}
-	pre, err := JacobiPrecond(opts.PrecondDiag)
-	if err != nil {
-		return err
-	}
-	opts.Precond = pre
-	return nil
-}
-
 // installPrecond installs the selected rung on a resident operator:
 // Jacobi/identity through the core SetPrecondDiag, operator-built rungs
 // through the ResidentPrecond extension.
 func installPrecond(a VectorSpace, opts Options) error {
-	if !opts.PrecondKind.valid() {
-		return fmt.Errorf("solver: unknown preconditioner kind %q", opts.PrecondKind)
-	}
 	if opts.PrecondKind.operatorBuilt() {
 		rp, ok := a.(ResidentPrecond)
 		if !ok {

@@ -36,9 +36,10 @@ func TestPrecondKindsLadder(t *testing.T) {
 }
 
 func TestPrecondKindValidationOnSlicePath(t *testing.T) {
-	// The slice path: an unknown kind is rejected, an operator-built kind on
-	// an operator without PrecondFactory is rejected, jacobi demands a
-	// diagonal, and an explicit Precond closure wins over the kind.
+	// A plain operator (run on a sliceSpace): an unknown kind is rejected,
+	// an operator-built kind on an operator without PrecondFactory is
+	// rejected, jacobi demands a diagonal, and an explicit Precond closure
+	// wins over the kind.
 	a := spdTest(8)
 	b := make([]float64, 8)
 	b[0] = 1
@@ -70,7 +71,7 @@ func TestPrecondKindValidationOnResidentPath(t *testing.T) {
 	// The resident path: a VectorSpace without the ResidentPrecond extension
 	// cannot run operator-built rungs; jacobi still demands a diagonal.
 	op := spdTest(8)
-	d := &denseSpace{denseOp: op}
+	d := residentOnly{newSliceSpace(op)}
 	b := make([]float64, 8)
 	b[0] = 1
 	x := make([]float64, 8)

@@ -1,8 +1,8 @@
 package solver
 
 // This file defines the phase-program representation of a Krylov iteration.
-// The resident solvers (resident.go) no longer drive a VectorSpace one
-// method call at a time; they describe one iteration as a fixed list of
+// The solvers (resident.go) do not drive a VectorSpace one method call at a
+// time; they describe one iteration as a fixed list of
 // ProgOps — vector kernels with scalar inputs read through pointers at run
 // time, reduction results written through pointers, and host actions (the
 // α/β recurrences, breakdown checks, convergence tests) attached to the op
@@ -12,9 +12,10 @@ package solver
 //   - a ProgramSpace operator (umesh.PartOperator) compiles the list into an
 //     exec.Plan: one SPMD pass per iteration with the counted minimum of
 //     barriers, actions running inside the barriers;
-//   - any other VectorSpace gets the interpreter below, which replays the
-//     list through the ordinary VectorSpace methods — same arithmetic, same
-//     order, so both executors produce bit-identical solves.
+//   - any other VectorSpace (the sliceSpace every plain Operator runs on)
+//     gets the interpreter below, which replays the list through the
+//     ordinary VectorSpace methods — same arithmetic, same order, so both
+//     executors produce bit-identical solves.
 
 // OpKind enumerates the vector kernels a ProgOp can request. The vector
 // operands are named V1..V5, scalar inputs A1/A2 (dereferenced when the op
@@ -33,8 +34,6 @@ const (
 	OpDot2
 	// OpCopy: V1 = V2.
 	OpCopy
-	// OpAxpy: V1 += *A1·V2.
-	OpAxpy
 	// OpAxpy2: V1 += *A1·V2 + *A2·V3.
 	OpAxpy2
 	// OpXpby: V1 = V2 + *A1·V1.
@@ -122,8 +121,6 @@ func (p *interpProgram) Run() (bool, error) {
 			*op.R1, *op.R2 = a.Dot2Vec(op.V1, op.V2, op.V3)
 		case OpCopy:
 			a.CopyVec(op.V1, op.V2)
-		case OpAxpy:
-			a.AxpyVec(op.V1, *op.A1, op.V2)
 		case OpAxpy2:
 			a.Axpy2Vec(op.V1, *op.A1, op.V2, *op.A2, op.V3)
 		case OpXpby:

@@ -6,22 +6,21 @@ import (
 	"math"
 )
 
-// This file holds the part-resident Krylov recurrences: CG and BiCGStab
+// This file holds the Krylov recurrences, one per method: CG and BiCGStab
 // executed entirely through a VectorSpace, so every working vector lives in
-// the operator's own (partitioned) layout for the whole solve. A solve
-// scatters its inputs once (LoadVec2), gathers the solution once (StoreVec),
-// and runs each iteration as one phase program (see program.go): the vector
-// kernels of the recurrence with the scalar bookkeeping attached as host
-// actions. A ProgramSpace operator executes the program as a single SPMD
-// plan per iteration; everything else goes through the interpreter — same
-// ops, same order, bit-identical results.
+// the operator's own layout for the whole solve (global slices for a
+// sliceSpace, the parts' compact layouts for a partitioned operator). A
+// solve scatters its inputs once (LoadVec2), gathers the solution once
+// (StoreVec), and runs each iteration as one phase program (see
+// program.go): the vector kernels of the recurrence with the scalar
+// bookkeeping attached as host actions. A ProgramSpace operator executes
+// the program as a single SPMD plan per iteration; everything else goes
+// through the interpreter — same ops, same order, bit-identical results.
 //
-// Bit-identity discipline: each resident op evaluates exactly the
-// expressions of the slice recurrence in the same order (the fused
-// update+dot phases sum their reductions in the operator's one fixed global
-// order), so a resident solve reproduces a slice solve over the same
-// operator ordering bit-for-bit. The breakdown checks mirror the slice
-// implementations check-for-check for the same reason.
+// Bit-identity discipline: every VectorSpace evaluates the documented
+// element expressions and sums each reduction in its one fixed global
+// order, so two operators with the same summation order (umesh's serial
+// reference and its partitioned operator) produce bit-identical solves.
 
 // Resident vector handles: the solvers address their working sets as fixed
 // slots Vec(0..n-1) reserved up front, so repeated solves on one operator
@@ -62,7 +61,7 @@ type cgState struct {
 // application and both dots fuse into a single OpCGStepPre pass; the
 // operator-built rungs (SSOR/Chebyshev/AMG) keep the update and the
 // preconditioner as separate ops so a converged final iteration skips the
-// expensive preconditioner exactly like the slice recurrence does.
+// expensive preconditioner.
 func cgProgram(s *cgState, rung bool) []ProgOp {
 	alphaAct := func() (bool, error) {
 		if s.pap == 0 || math.IsNaN(s.pap) {
@@ -111,11 +110,8 @@ func cgProgram(s *cgState, rung bool) []ProgOp {
 }
 
 // cgResident is preconditioned conjugate gradients with the whole working
-// set resident in the operator's layout.
+// set resident in the VectorSpace, its preconditioner already installed.
 func cgResident(a VectorSpace, x, b []float64, opts Options) (*Stats, error) {
-	if err := installPrecond(a, opts); err != nil {
-		return nil, err
-	}
 	a.Reserve(cgLen)
 	a.LoadVec2(cgX, x, cgB, b) // the solve's one scatter
 	normB := math.Sqrt(a.DotVec(cgB, cgB))
@@ -123,8 +119,8 @@ func cgResident(a VectorSpace, x, b []float64, opts Options) (*Stats, error) {
 		zero(x)
 		return &Stats{Converged: true}, nil
 	}
-	// r = b − A·x (the SubAxpy's fused ⟨r,r⟩ is discarded; the slice path
-	// does not take an initial residual norm either).
+	// r = b − A·x (the SubAxpy's fused ⟨r,r⟩ is discarded: the recurrence
+	// takes no initial residual norm).
 	if err := a.ApplyVec(cgAp, cgX); err != nil {
 		return nil, err
 	}
@@ -239,11 +235,8 @@ func biProgram(s *biState, first bool) []ProgOp {
 }
 
 // bicgstabResident is BiCGStab with the whole working set resident in the
-// operator's layout.
+// VectorSpace, its preconditioner already installed.
 func bicgstabResident(a VectorSpace, x, b []float64, opts Options) (*Stats, error) {
-	if err := installPrecond(a, opts); err != nil {
-		return nil, err
-	}
 	a.Reserve(biLen)
 	a.LoadVec2(biX, x, biB, b) // the solve's one scatter
 	normB := math.Sqrt(a.DotVec(biB, biB))

@@ -19,14 +19,20 @@
 // whose matrix is symmetric positive definite for frozen mobilities, making
 // CG applicable; BiCGStab is provided for the general case.
 //
+// Each method has one recurrence, a phase program (cgProgram, biProgram)
+// run on a VectorSpace. An operator that implements VectorSpace (umesh's
+// PartOperator) keeps the working set in its own partitioned layout; any
+// other Operator is wrapped in a VectorSpace over plain global slices that
+// takes its inner products through the operator's Reducer, when it has one.
+//
 // Preconditioning is selected by Options.PrecondKind — a ladder of four
 // rungs (jacobi, ssor, chebyshev, amg). Jacobi needs only the matrix
 // diagonal (Options.PrecondDiag) and works with any Operator; the
-// operator-built rungs are constructed by the operator itself through the
-// PrecondFactory (slice path) and ResidentPrecond (VectorSpace path)
-// extension interfaces, which umesh's serial reference and PartOperator
-// implement. An explicit Options.Precond closure bypasses kind resolution
-// and forces the slice path.
+// operator-built rungs are constructed by the operator itself, through
+// ResidentPrecond on a VectorSpace operator and through PrecondFactory on
+// any other (umesh's PartOperator and serial reference implement them). An
+// explicit Options.Precond closure replaces the kind on operators that are
+// not a VectorSpace.
 package solver
 
 import (
@@ -43,13 +49,13 @@ type Operator interface {
 	Size() int
 }
 
-// Reducer is an optional Operator extension: a distributed inner product.
-// Partitioned operators implement it to compute dot products through their
-// own runtime (parallel per-part partial sums, then a deterministic fold in
-// a fixed order), and the slice-based Krylov iterations route every inner
-// product and norm through it. A conforming implementation must return the
-// same left-to-right sum for every configuration of its runtime (worker
-// count, part count), so solves stay bit-reproducible.
+// Reducer is an optional extension of an Operator that is not a
+// VectorSpace: its own inner product over global slices. A solve on such an
+// operator takes every inner product and norm through it — umesh's serial
+// reference implements it with the canonical blocked sum its partitioned
+// twin uses, which keeps serial and partitioned solves bit-identical. A
+// conforming implementation must return one fixed summation order, so
+// solves stay bit-reproducible.
 type Reducer interface {
 	Dot(a, b []float64) float64
 }
@@ -59,17 +65,16 @@ type Reducer interface {
 // solve. Handles are small integers issued by VectorSpace.Reserve.
 type Vec int
 
-// VectorSpace is the part-resident Operator extension: an operator that can
-// hold the Krylov working set in its own layout and execute the iteration's
-// vector algebra there, so a solve scatters the inputs once, gathers the
-// solution once, and never round-trips a vector through global storage in
-// between. CG and BiCGStab run their whole recurrence through these methods
-// when an operator provides them (and Options.Precond — a global-slice
-// closure — is not forcing the slice path).
+// VectorSpace is the space CG and BiCGStab run their recurrence in: an
+// operator that holds the Krylov working set in its own layout and executes
+// the iteration's vector algebra there, so a solve scatters the inputs
+// once, gathers the solution once, and never round-trips a vector through
+// global storage in between. Operators that do not implement it run on a
+// VectorSpace over global slices.
 //
-// Contract, so resident solves reproduce slice solves exactly:
-//   - element updates use the same expressions as the slice recurrences
-//     (e.g. CGStep computes x_i += α·p_i; r_i -= α·ap_i);
+// Contract, so solves reproduce across implementations exactly:
+//   - element updates use the documented expressions (e.g. CGStep computes
+//     x_i += α·p_i; r_i -= α·ap_i);
 //   - every returned inner product is a deterministic left-to-right sum in
 //     one fixed global order, the same order for every runtime
 //     configuration;
@@ -121,18 +126,6 @@ type VectorSpace interface {
 	PrecondDotVec(z, r Vec) float64
 }
 
-// dotOf routes an inner product through the operator's own reduction when it
-// provides one.
-func dotOf(a Operator, x, y []float64) float64 {
-	if r, ok := a.(Reducer); ok {
-		return r.Dot(x, y)
-	}
-	return dot(x, y)
-}
-
-// normOf is the Euclidean norm through the operator's reduction.
-func normOf(a Operator, x []float64) float64 { return math.Sqrt(dotOf(a, x, x)) }
-
 // Options controls the Krylov iteration.
 type Options struct {
 	// MaxIter bounds the iteration count (default 500).
@@ -140,24 +133,23 @@ type Options struct {
 	// Tol is the relative residual tolerance ‖r‖/‖b‖ (default 1e-8).
 	Tol float64
 	// Precond optionally supplies a preconditioner application z = M⁻¹r as
-	// a closure over global slices. Setting it forces the slice-based
-	// iteration even for a VectorSpace operator; prefer PrecondDiag for
-	// Jacobi, which both paths support.
+	// a closure over global slices, replacing PrecondKind and PrecondDiag.
+	// Only operators that are not a VectorSpace accept it: a VectorSpace
+	// keeps its vectors in its own layout, and CG/BiCGStab return an error
+	// pointing to PrecondDiag/PrecondKind instead.
 	Precond func(z, r []float64)
 	// PrecondDiag optionally supplies the matrix diagonal for Jacobi
-	// preconditioning. The slice path builds the equivalent of
-	// JacobiPrecond(PrecondDiag); the part-resident path installs it through
-	// VectorSpace.SetPrecondDiag — elementwise z_i = (1/d_i)·r_i either way,
-	// so the two paths stay bit-identical. Ignored when Precond is set.
+	// preconditioning, installed through VectorSpace.SetPrecondDiag:
+	// elementwise z_i = (1/d_i)·r_i, as JacobiPrecond applies it. Ignored
+	// when Precond is set.
 	PrecondDiag []float64
 	// PrecondKind selects a rung of the preconditioner ladder (see the
 	// PrecondKind constants). The zero value keeps the pre-ladder behavior:
 	// Jacobi when PrecondDiag is set, identity otherwise. Operator-built
-	// rungs (SSOR, Chebyshev, AMG) require the operator to implement
-	// PrecondFactory (slice path) or ResidentPrecond (resident path); the
-	// two realizations apply identical arithmetic, so solves stay
-	// bit-identical across paths and part counts. Ignored when Precond is
-	// set.
+	// rungs (SSOR, Chebyshev, AMG) require a VectorSpace operator to
+	// implement ResidentPrecond and any other operator PrecondFactory;
+	// umesh's two realizations apply identical arithmetic, so its solves
+	// stay bit-identical across part counts. Ignored when Precond is set.
 	PrecondKind PrecondKind
 	// Cancel, when non-nil, is polled at the top of every Krylov iteration
 	// — the iteration barrier. When it returns true the solve stops before
@@ -211,174 +203,55 @@ func cancelErr(st *Stats) error {
 // CG solves A·x = b for symmetric positive definite A. x carries the
 // initial guess and receives the solution.
 //
-// When the operator is a VectorSpace and no slice-closure preconditioner
-// forces the global path, the whole recurrence runs part-resident: one
-// scatter of (x, b), one gather of the solution, and every Apply/axpy/dot in
-// between executed in the operator's own layout through fused phases.
+// The recurrence is cgProgram on the operator's VectorSpace: a VectorSpace
+// operator keeps the working set in its own layout (one scatter of (x, b),
+// one gather of the solution, fused phases in between); any other operator
+// runs the same program over global slices.
 func CG(a Operator, x, b []float64, opts Options) (*Stats, error) {
 	opts = opts.withDefaults()
-	n := a.Size()
-	if len(x) != n || len(b) != n {
-		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
-	}
-	if vs, ok := a.(VectorSpace); ok && opts.Precond == nil {
-		return cgResident(vs, x, b, opts)
-	}
-	if err := resolvePrecond(a, &opts); err != nil {
+	vs, err := vectorSpace(a, x, b, opts)
+	if err != nil {
 		return nil, err
 	}
-	normB := normOf(a, b)
-	if normB == 0 {
-		zero(x)
-		return &Stats{Converged: true}, nil
-	}
-	r := make([]float64, n)
-	if err := a.Apply(r, x); err != nil {
-		return nil, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	z := make([]float64, n)
-	applyPrecond(opts, z, r)
-	p := append([]float64(nil), z...)
-	ap := make([]float64, n)
-	rz := dotOf(a, r, z)
-	st := &Stats{}
-	for k := 0; k < opts.MaxIter; k++ {
-		if opts.cancelled() {
-			return st, cancelErr(st)
-		}
-		if err := a.Apply(ap, p); err != nil {
-			return nil, err
-		}
-		pap := dotOf(a, p, ap)
-		if pap == 0 || math.IsNaN(pap) {
-			return st, fmt.Errorf("%w: pᵀAp = %v at iteration %d", ErrBreakdown, pap, k)
-		}
-		alpha := rz / pap
-		axpy(x, alpha, p)
-		axpy(r, -alpha, ap)
-		st.Iterations = k + 1
-		st.Residual = normOf(a, r) / normB
-		st.History = append(st.History, st.Residual)
-		if st.Residual <= opts.Tol {
-			st.Converged = true
-			return st, nil
-		}
-		applyPrecond(opts, z, r)
-		rzNew := dotOf(a, r, z)
-		if rz == 0 {
-			return st, fmt.Errorf("%w: rᵀz vanished at iteration %d", ErrBreakdown, k)
-		}
-		beta := rzNew / rz
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		rz = rzNew
-	}
-	return st, fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrNotConverged, st.Iterations, st.Residual)
+	return cgResident(vs, x, b, opts)
 }
 
-// BiCGStab solves A·x = b for general (nonsymmetric) A. Like CG, the solve
-// runs part-resident when the operator is a VectorSpace and no slice-closure
-// preconditioner forces the global path.
+// BiCGStab solves A·x = b for general (nonsymmetric) A through biProgram,
+// on the same VectorSpace CG would use.
 func BiCGStab(a Operator, x, b []float64, opts Options) (*Stats, error) {
 	opts = opts.withDefaults()
+	vs, err := vectorSpace(a, x, b, opts)
+	if err != nil {
+		return nil, err
+	}
+	return bicgstabResident(vs, x, b, opts)
+}
+
+// vectorSpace checks the solve's sizes and returns the VectorSpace it runs
+// on with the selected preconditioner installed: the operator itself when
+// it is one, otherwise a sliceSpace over it. An Options.Precond closure
+// works on global slices, so only a sliceSpace can apply it.
+func vectorSpace(a Operator, x, b []float64, opts Options) (VectorSpace, error) {
 	n := a.Size()
 	if len(x) != n || len(b) != n {
 		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
 	}
-	if vs, ok := a.(VectorSpace); ok && opts.Precond == nil {
-		return bicgstabResident(vs, x, b, opts)
+	if !opts.PrecondKind.valid() {
+		return nil, fmt.Errorf("solver: unknown preconditioner kind %q", opts.PrecondKind)
 	}
-	if err := resolvePrecond(a, &opts); err != nil {
-		return nil, err
+	vs, ok := a.(VectorSpace)
+	if ok && opts.Precond != nil {
+		return nil, fmt.Errorf("solver: operator %T keeps its vectors resident and cannot apply an Options.Precond closure; use Options.PrecondDiag or Options.PrecondKind", a)
 	}
-	normB := normOf(a, b)
-	if normB == 0 {
-		zero(x)
-		return &Stats{Converged: true}, nil
+	if !ok {
+		s := newSliceSpace(a)
+		if opts.Precond != nil {
+			s.pre = opts.Precond
+			return s, nil
+		}
+		vs = s
 	}
-	r := make([]float64, n)
-	if err := a.Apply(r, x); err != nil {
-		return nil, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	rHat := append([]float64(nil), r...)
-	var rho, alpha, omega float64 = 1, 1, 1
-	v := make([]float64, n)
-	p := make([]float64, n)
-	ph := make([]float64, n)
-	s := make([]float64, n)
-	sh := make([]float64, n)
-	t := make([]float64, n)
-	st := &Stats{}
-	for k := 0; k < opts.MaxIter; k++ {
-		if opts.cancelled() {
-			return st, cancelErr(st)
-		}
-		rhoNew := dotOf(a, rHat, r)
-		if rhoNew == 0 {
-			return st, fmt.Errorf("%w: ρ = 0 at iteration %d", ErrBreakdown, k)
-		}
-		if k == 0 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
-			}
-		}
-		rho = rhoNew
-		applyPrecond(opts, ph, p)
-		if err := a.Apply(v, ph); err != nil {
-			return nil, err
-		}
-		den := dotOf(a, rHat, v)
-		if den == 0 {
-			return st, fmt.Errorf("%w: r̂ᵀv = 0 at iteration %d", ErrBreakdown, k)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		st.Iterations = k + 1
-		if res := normOf(a, s) / normB; res <= opts.Tol {
-			axpy(x, alpha, ph)
-			st.Residual = res
-			st.History = append(st.History, res)
-			st.Converged = true
-			return st, nil
-		}
-		applyPrecond(opts, sh, s)
-		if err := a.Apply(t, sh); err != nil {
-			return nil, err
-		}
-		tt := dotOf(a, t, t)
-		if tt == 0 {
-			return st, fmt.Errorf("%w: tᵀt = 0 at iteration %d", ErrBreakdown, k)
-		}
-		omega = dotOf(a, t, s) / tt
-		if omega == 0 {
-			return st, fmt.Errorf("%w: ω = 0 at iteration %d", ErrBreakdown, k)
-		}
-		for i := range x {
-			x[i] += alpha*ph[i] + omega*sh[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		st.Residual = normOf(a, r) / normB
-		st.History = append(st.History, st.Residual)
-		if st.Residual <= opts.Tol {
-			st.Converged = true
-			return st, nil
-		}
-	}
-	return st, fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrNotConverged, st.Iterations, st.Residual)
+	return vs, installPrecond(vs, opts)
 }
 
 // JacobiPrecond builds a Jacobi (diagonal) preconditioner from the
@@ -401,14 +274,6 @@ func JacobiPrecond(diag []float64) (func(z, r []float64), error) {
 	}, nil
 }
 
-func applyPrecond(opts Options, z, r []float64) {
-	if opts.Precond != nil {
-		opts.Precond(z, r)
-		return
-	}
-	copy(z, r)
-}
-
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
@@ -416,8 +281,6 @@ func dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
 
 func axpy(y []float64, alpha float64, x []float64) {
 	for i := range y {

@@ -283,11 +283,11 @@ type opSend struct {
 }
 
 // opPart is the operator's per-part working set: the resident Krylov
-// vectors in the part's compact local layout, the slice-path mirror, the
-// resident inverse diagonal, and the premultiplied adjacency. Everything is
-// O(owned+halo) per vector.
+// vectors in the part's compact local layout, the global-slice Apply's
+// mirror, the resident inverse diagonal, and the premultiplied adjacency.
+// Everything is O(owned+halo) per vector.
 type opPart struct {
-	// x is the slice-path local mirror (Apply on global slices).
+	// x is the local mirror of the global-slice Apply's input.
 	x []float64
 	// vecs holds the resident vectors, each owned cells first then halo
 	// blocks. Only Apply maintains halo entries (for its input vector); all
@@ -351,13 +351,12 @@ func (p *PhaseSeconds) Add(q PhaseSeconds) {
 func (p PhaseSeconds) Total() float64 { return p.Exchange + p.Compute + p.Reduce }
 
 // PartOperator is the matrix-free part-resident operator: it implements
-// solver.Operator and solver.Reducer on global slices (each Apply pays a
-// scatter and gather — the compatibility path), solver.VectorSpace for
-// part-resident solves, where the whole Krylov working set stays in the
-// parts' compact layouts and a solve scatters once and gathers once, and
-// solver.ProgramSpace (program.go), which compiles a whole Krylov iteration
-// into one exec.Plan. Steady-state Apply, Dot, every fused vector phase and
-// every compiled plan execution allocate nothing.
+// solver.Operator on global slices (each Apply pays a scatter and gather),
+// solver.VectorSpace, the space every solve on it runs in — the whole Krylov
+// working set stays in the parts' compact layouts and a solve scatters once
+// and gathers once — and solver.ProgramSpace (program.go), which compiles a
+// whole Krylov iteration into one exec.Plan. Steady-state Apply, every fused
+// vector phase and every compiled plan execution allocate nothing.
 //
 // A PartOperator is driven by one goroutine at a time. With an RCB
 // partition of at most reductionDepth (8) bisection levels — up to 256
@@ -376,8 +375,8 @@ type PartOperator struct {
 	blockSums, blockSums2 []float64
 
 	// Staged phase inputs (set per call; closures are pre-built so dispatch
-	// allocates nothing). ga/gb/gdst stage global slices (slice path,
-	// scatter/gather, diagonal); v1..v4 stage resident vector handles;
+	// allocates nothing). ga/gb/gdst stage global slices (global-slice
+	// Apply, scatter/gather, diagonal); v1..v4 stage resident vector handles;
 	// sc1/sc2 stage scalars; applyDot arms the fused dot sweep of an
 	// application's frontier phase.
 	ga, gb, gdst, diag []float64
@@ -416,7 +415,7 @@ type PartOperator struct {
 	// construction, so Comm reports this operator's own synchronization.
 	baseBarriers, baseDispatches uint64
 
-	fnSliceSend, fnSliceRecv, fnProd, fnDiag         func(int) error
+	fnSliceSend, fnSliceRecv, fnDiag                 func(int) error
 	fnLoad2, fnStore, fnSetPre                       func(int) error
 	fnApplySend, fnApplyRecv                         func(int) error
 	fnDot, fnDot2, fnAxpy, fnAxpy2, fnXpby, fnCopy   func(int) error
@@ -483,7 +482,6 @@ func NewPartOperator(e *PartEngine, sys *USystem) (*PartOperator, error) {
 	o.compileReduction()
 	o.fnSliceSend = o.phaseSliceSend
 	o.fnSliceRecv = o.phaseSliceRecv
-	o.fnProd = o.phaseProd
 	o.fnDiag = o.phaseDiag
 	o.fnLoad2 = o.phaseLoad2
 	o.fnStore = o.phaseStore
@@ -614,9 +612,9 @@ func (o *PartOperator) syncCounters() {
 // into each neighbor's halo block of the same vector — the coalesced
 // direct-write exchange: one contiguous write region per (src, dst) pair,
 // no intermediate buffer. xv selects the resident vector; xv < 0 selects
-// the slice-path mirror. The destination ranges are disjoint between all
-// senders and from every owned range, so the concurrent writes are
-// race-free; the step barrier orders them before the frontier reads.
+// the global-slice Apply's mirror. The destination ranges are disjoint
+// between all senders and from every owned range, so the concurrent writes
+// are race-free; the step barrier orders them before the frontier reads.
 func (o *PartOperator) pushHalo(op *opPart, xv int) {
 	var x []float64
 	if xv < 0 {
@@ -642,7 +640,7 @@ func (o *PartOperator) pushHalo(op *opPart, xv int) {
 }
 
 // ---------------------------------------------------------------------------
-// Slice-path Operator/Reducer (compatibility: one scatter+gather per Apply)
+// Global-slice Operator (one scatter+gather per Apply)
 // ---------------------------------------------------------------------------
 
 // Apply computes dst = A·x through one partitioned engine application on
@@ -694,33 +692,6 @@ func (o *PartOperator) phaseSliceSend(shard int) error {
 func (o *PartOperator) phaseSliceRecv(shard int) error {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	o.fluxRowsGlobal(ps, op, ps.frontier)
-	return nil
-}
-
-// Dot implements solver.Reducer on global slices: each part accumulates its
-// owned products in compact (canonical) order into its persistent partial
-// slot; the host treeFolds the block partials. With an RCB partition the
-// result is the same fixed tree for every part count. Steady state
-// allocates nothing.
-func (o *PartOperator) Dot(a, b []float64) float64 {
-	o.ga, o.gb = a, b
-	// phaseProd cannot fail; the pool propagates no error here.
-	_ = o.run(o.fnProd, &o.Phase.Reduce)
-	return o.fold()
-}
-
-// phaseProd accumulates the part's owned products a_g·b_g per canonical
-// block in compact order.
-func (o *PartOperator) phaseProd(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	for b := range op.blkLo {
-		acc := 0.0
-		for i := op.blkLo[b]; i < op.blkHi[b]; i++ {
-			g := ps.globalOf[i]
-			acc += o.ga[g] * o.gb[g]
-		}
-		o.blockSums[op.blkOut[b]] = acc
-	}
 	return nil
 }
 
@@ -807,9 +778,9 @@ func (o *PartOperator) phaseStore(shard int) error {
 // SetPrecondDiag installs the resident Jacobi inverse diagonal (z_i =
 // (1/d_i)·r_i, the same expression JacobiPrecond applies). A nil diag
 // selects the identity. The diagonal is validated and reloaded on every
-// call — like the slice path, which rebuilds its closure per solve — so a
-// caller mutating the diag contents between solves can never leave a stale
-// inverse behind; the cost is one O(owned) phase per solve.
+// call, once per solve, so a caller mutating the diag contents between
+// solves can never leave a stale inverse behind; the cost is one O(owned)
+// phase per solve.
 func (o *PartOperator) SetPrecondDiag(diag []float64) error {
 	o.preKind = solver.PrecondDefault
 	if diag == nil {
@@ -1237,7 +1208,7 @@ func (o *PartOperator) phasePre(shard int) error {
 // PrecondDotVec computes z = M⁻¹·r and returns ⟨r, z⟩. The Jacobi/identity
 // default fuses application and reduction into one phase; the ladder rungs
 // run their phase sequence and take the canonical blocked DotVec — the same
-// ⟨r, z⟩ summation tree the slice path's separate reduction produces.
+// ⟨r, z⟩ summation tree the serial reference's separate reduction produces.
 func (o *PartOperator) PrecondDotVec(z, r solver.Vec) float64 {
 	switch o.preKind {
 	case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
@@ -1304,7 +1275,6 @@ func NewSystemOperator(u *Mesh, p *Partition, fl physics.Fluid, sys *USystem, wo
 var (
 	_ solver.Operator        = (*UHostOperator)(nil)
 	_ solver.Operator        = (*PartOperator)(nil)
-	_ solver.Reducer         = (*PartOperator)(nil)
 	_ solver.VectorSpace     = (*PartOperator)(nil)
 	_ solver.ResidentPrecond = (*PartOperator)(nil)
 	_ solver.Reducer         = (*serialReference)(nil)

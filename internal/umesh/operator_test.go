@@ -110,7 +110,9 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		diag := po.Diagonal()
-		dot := po.Dot(a, b)
+		po.Reserve(2)
+		po.LoadVec2(0, a, 1, b)
+		dot := po.DotVec(0, 1)
 		e.Close()
 		for i := range wantDiag {
 			if diag[i] != wantDiag[i] {
@@ -124,7 +126,7 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 }
 
 func TestPartOperatorApplyAllocFree(t *testing.T) {
-	// The acceptance check: once warm, Apply and Dot run entirely through
+	// The acceptance check: once warm, Apply and DotVec run entirely through
 	// persistent buffers and pre-built phase closures — zero allocations.
 	u, err := NewRadialMesh(DefaultRadialOptions())
 	if err != nil {
@@ -156,8 +158,10 @@ func TestPartOperatorApplyAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Apply allocates %.1f objects, want 0", allocs)
 	}
+	po.Reserve(2)
+	po.LoadVec2(0, x, 1, dst)
 	allocs = testing.AllocsPerRun(50, func() {
-		po.Dot(x, dst)
+		po.DotVec(0, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("distributed Dot allocates %.1f objects, want 0", allocs)
@@ -201,11 +205,10 @@ func residentFixtureOn(tb testing.TB, u *Mesh, levels, workers int) (*PartOperat
 }
 
 func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
-	// The resident recurrence is the slice recurrence, expression for
-	// expression: CG through the VectorSpace path must reproduce CG through
-	// the slice path (forced via a Precond closure, which routes dots through
-	// the same canonical Reducer) bit-for-bit — histories, iterations, and
-	// the solution.
+	// One recurrence, two layouts: CG on the part-resident operator must
+	// reproduce CG on the serial reference — the same phase program run
+	// over global slices, its dots through the same canonical Reducer tree —
+	// bit-for-bit: histories, iterations, and the solution.
 	po, closeOp := residentFixture(t, 2, 2)
 	defer closeOp()
 	diag := po.Diagonal()
@@ -213,12 +216,8 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 	b := make([]float64, n)
 	b[0], b[n-1] = 2.0, -2.0
 
-	pre, err := solver.JacobiPrecond(diag)
-	if err != nil {
-		t.Fatal(err)
-	}
 	xSlice := make([]float64, n)
-	stSlice, err := solver.CG(po, xSlice, b, solver.Options{Tol: 1e-8, MaxIter: 800, Precond: pre})
+	stSlice, err := solver.CG(newSerialReference(po.Sys), xSlice, b, solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag})
 	if err != nil {
 		t.Fatal(err)
 	}

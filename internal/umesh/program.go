@@ -67,10 +67,6 @@ func (o *PartOperator) CompileProgram(ops []solver.ProgOp) (solver.Program, erro
 			dstv, srcv := int(op.V1), int(op.V2)
 			b.add(func(shard int) error { o.shardCopy(shard, dstv, srcv); return nil }, &o.Phase.Reduce)
 			b.attachAction(op.Action)
-		case solver.OpAxpy:
-			yv, xv, a1 := int(op.V1), int(op.V2), op.A1
-			b.add(func(shard int) error { o.shardAxpy(shard, yv, xv, *a1); return nil }, &o.Phase.Reduce)
-			b.attachAction(op.Action)
 		case solver.OpAxpy2:
 			yv, xv, zv, a1, a2 := int(op.V1), int(op.V2), int(op.V3), op.A1, op.A2
 			b.add(func(shard int) error { o.shardAxpy2(shard, yv, xv, zv, *a1, *a2); return nil }, &o.Phase.Reduce)

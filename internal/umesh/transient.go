@@ -168,10 +168,10 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 	if err != nil {
 		return nil, err
 	}
-	// Jacobi preconditioning goes in as the diagonal, not a closure: the
-	// partitioned path installs it resident (VectorSpace.SetPrecondDiag),
-	// the serial path builds the equivalent slice closure — elementwise
-	// z_i = (1/d_i)·r_i either way, so the two stay bit-identical.
+	// Jacobi preconditioning goes in as the diagonal: the partitioned
+	// operator installs it resident, the serial reference applies it over
+	// global slices — elementwise z_i = (1/d_i)·r_i either way, so the two
+	// stay bit-identical.
 	opts.Solver.PrecondDiag = diag
 	// Operator-built rungs (SSOR, Chebyshev, AMG) are part of the compiled
 	// plan, so their setup — hierarchy aggregation, coarse factorization,

@@ -53,11 +53,7 @@ func NewDataflowOperator(sys *PressureSystem, fl Fluid) *solver.DataflowOperator
 // through the dataflow operator and returns the pressure update.
 func SolveCG(sys *PressureSystem, fl Fluid, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
 	op := solver.NewDataflowOperator(sys, fl)
-	pre, err := solver.JacobiPrecond(sys.Diagonal())
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Precond = pre
+	opts.PrecondDiag = sys.Diagonal()
 	x := make([]float64, op.Size())
 	st, err := solver.CG(op, x, b, opts)
 	if err != nil {
@@ -178,8 +174,8 @@ func SolveUnstructured(u *UMesh, part *UPartition, fl Fluid, dt float64, b []flo
 		return nil, nil, err
 	}
 	defer closeOp()
-	// The diagonal, not a closure: a closure would force the slice path and
-	// its per-application scatter/gather.
+	// The partitioned operator installs the Jacobi diagonal resident; the
+	// serial reference applies it on global slices.
 	opts.PrecondDiag = diag
 	x := make([]float64, op.Size())
 	st, err := solver.CG(op, x, b, opts)
