@@ -29,18 +29,30 @@ func (s *sliceSpace) dot(a, b []float64) float64 {
 	return dot(a, b)
 }
 
+// Reserve creates the slots; vec allocates a slot's storage on first use,
+// so the two slots LoadVec2 fills never allocate.
 func (s *sliceSpace) Reserve(n int) {
 	for len(s.vecs) < n {
-		s.vecs = append(s.vecs, make([]float64, s.Size()))
+		s.vecs = append(s.vecs, nil)
 	}
 }
 
-func (s *sliceSpace) LoadVec2(v1 Vec, src1 []float64, v2 Vec, src2 []float64) {
-	copy(s.vecs[v1], src1)
-	copy(s.vecs[v2], src2)
+func (s *sliceSpace) vec(v Vec) []float64 {
+	if s.vecs[v] == nil {
+		s.vecs[v] = make([]float64, s.Size())
+	}
+	return s.vecs[v]
 }
 
-func (s *sliceSpace) StoreVec(dst []float64, v Vec) { copy(dst, s.vecs[v]) }
+// LoadVec2 aliases the caller's slices instead of copying them: a solve
+// loads x, which it writes back through StoreVec anyway, and b, which it
+// only reads. A sliceSpace lives for one solve, so the alias never
+// outlives the call.
+func (s *sliceSpace) LoadVec2(v1 Vec, src1 []float64, v2 Vec, src2 []float64) {
+	s.vecs[v1], s.vecs[v2] = src1, src2
+}
+
+func (s *sliceSpace) StoreVec(dst []float64, v Vec) { copy(dst, s.vec(v)) }
 
 // SetPrecondDiag installs JacobiPrecond(diag); nil selects the identity.
 func (s *sliceSpace) SetPrecondDiag(diag []float64) error {
@@ -74,41 +86,41 @@ func (s *sliceSpace) SetPrecond(kind PrecondKind, diag []float64) error {
 	return nil
 }
 
-func (s *sliceSpace) CopyVec(dst, src Vec) { copy(s.vecs[dst], s.vecs[src]) }
+func (s *sliceSpace) CopyVec(dst, src Vec) { copy(s.vec(dst), s.vec(src)) }
 
-func (s *sliceSpace) DotVec(a, b Vec) float64 { return s.dot(s.vecs[a], s.vecs[b]) }
+func (s *sliceSpace) DotVec(a, b Vec) float64 { return s.dot(s.vec(a), s.vec(b)) }
 
 func (s *sliceSpace) Dot2Vec(a, x, y Vec) (float64, float64) {
-	return s.dot(s.vecs[a], s.vecs[x]), s.dot(s.vecs[a], s.vecs[y])
+	return s.dot(s.vec(a), s.vec(x)), s.dot(s.vec(a), s.vec(y))
 }
 
-func (s *sliceSpace) ApplyVec(dst, x Vec) error { return s.Apply(s.vecs[dst], s.vecs[x]) }
+func (s *sliceSpace) ApplyVec(dst, x Vec) error { return s.Apply(s.vec(dst), s.vec(x)) }
 
 func (s *sliceSpace) ApplyDotVec(dst, x, w Vec) (float64, error) {
-	if err := s.Apply(s.vecs[dst], s.vecs[x]); err != nil {
+	if err := s.Apply(s.vec(dst), s.vec(x)); err != nil {
 		return 0, err
 	}
-	return s.dot(s.vecs[w], s.vecs[dst]), nil
+	return s.dot(s.vec(w), s.vec(dst)), nil
 }
 
-func (s *sliceSpace) AxpyVec(y Vec, alpha float64, x Vec) { axpy(s.vecs[y], alpha, s.vecs[x]) }
+func (s *sliceSpace) AxpyVec(y Vec, alpha float64, x Vec) { axpy(s.vec(y), alpha, s.vec(x)) }
 
 func (s *sliceSpace) Axpy2Vec(y Vec, alpha float64, x Vec, beta float64, z Vec) {
-	yy, xx, zz := s.vecs[y], s.vecs[x], s.vecs[z]
+	yy, xx, zz := s.vec(y), s.vec(x), s.vec(z)
 	for i := range yy {
 		yy[i] += alpha*xx[i] + beta*zz[i]
 	}
 }
 
 func (s *sliceSpace) XpbyVec(y Vec, beta float64, x Vec) {
-	yy, xx := s.vecs[y], s.vecs[x]
+	yy, xx := s.vec(y), s.vec(x)
 	for i := range yy {
 		yy[i] = xx[i] + beta*yy[i]
 	}
 }
 
 func (s *sliceSpace) SubAxpyDotVec(dst, a Vec, alpha float64, b Vec) float64 {
-	dd, aa, bb := s.vecs[dst], s.vecs[a], s.vecs[b]
+	dd, aa, bb := s.vec(dst), s.vec(a), s.vec(b)
 	for i := range dd {
 		dd[i] = aa[i] - alpha*bb[i]
 	}
@@ -116,13 +128,13 @@ func (s *sliceSpace) SubAxpyDotVec(dst, a Vec, alpha float64, b Vec) float64 {
 }
 
 func (s *sliceSpace) CGStepVec(x Vec, alpha float64, p, r, ap Vec) float64 {
-	axpy(s.vecs[x], alpha, s.vecs[p])
-	axpy(s.vecs[r], -alpha, s.vecs[ap])
-	return s.dot(s.vecs[r], s.vecs[r])
+	axpy(s.vec(x), alpha, s.vec(p))
+	axpy(s.vec(r), -alpha, s.vec(ap))
+	return s.dot(s.vec(r), s.vec(r))
 }
 
 func (s *sliceSpace) BicgPVec(p, r, v Vec, beta, omega float64) {
-	pp, rr, vv := s.vecs[p], s.vecs[r], s.vecs[v]
+	pp, rr, vv := s.vec(p), s.vec(r), s.vec(v)
 	for i := range pp {
 		pp[i] = rr[i] + beta*(pp[i]-omega*vv[i])
 	}
@@ -130,15 +142,15 @@ func (s *sliceSpace) BicgPVec(p, r, v Vec, beta, omega float64) {
 
 func (s *sliceSpace) PrecondVec(z, r Vec) {
 	if s.pre == nil {
-		copy(s.vecs[z], s.vecs[r])
+		copy(s.vec(z), s.vec(r))
 		return
 	}
-	s.pre(s.vecs[z], s.vecs[r])
+	s.pre(s.vec(z), s.vec(r))
 }
 
 func (s *sliceSpace) PrecondDotVec(z, r Vec) float64 {
 	s.PrecondVec(z, r)
-	return s.dot(s.vecs[r], s.vecs[z])
+	return s.dot(s.vec(r), s.vec(z))
 }
 
 var (
