@@ -27,7 +27,7 @@ func hardRHS(n int) []float64 {
 }
 
 // TestCancelStopsAtIterationBoundary pins the cancellation contract on both
-// solvers, and on the slice oracle they must agree with: a solve cancelled after k iterations
+// solvers and on their slice oracles: a solve cancelled after k iterations
 // returns ErrCancelled, reports exactly k completed iterations, and leaves
 // in x the bit-identical iterate a MaxIter=k run would have produced — proof
 // that cancellation lands between iterations and never perturbs completed

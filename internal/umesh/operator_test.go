@@ -164,7 +164,7 @@ func TestPartOperatorApplyAllocFree(t *testing.T) {
 		po.DotVec(0, 1)
 	})
 	if allocs != 0 {
-		t.Errorf("distributed Dot allocates %.1f objects, want 0", allocs)
+		t.Errorf("resident DotVec allocates %.1f objects, want 0", allocs)
 	}
 }
 
